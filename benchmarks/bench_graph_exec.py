@@ -317,25 +317,18 @@ def _strip_obs_kernels(program):
     and ``self.`` lookups, so the measurement isolates the check.)"""
     import dataclasses
 
+    from repro.core.pwl import apply_table
     from repro.graph.program import PwlKernel, SoftmaxPwlKernel
 
     class StrippedPwl(PwlKernel):
         def __call__(self, x):
-            x = np.asarray(x, dtype=np.float64)
-            r = np.searchsorted(self.breakpoints, x, side="right")
-            return self.m[r] * x + self.q[r]
+            y, _ = apply_table(self.breakpoints, self.m, self.q, x)
+            return y
 
     class StrippedSoftmax(SoftmaxPwlKernel):
-        def __call__(self, x):
-            x = np.asarray(x, dtype=np.float64)
-            shifted = x - np.max(x, axis=self.axis, keepdims=True)
-            r = np.searchsorted(self.breakpoints, shifted, side="right")
-            e = np.where(shifted < self.clip_lo, 0.0,
-                         self.m[r] * shifted + self.q[r])
-            e = np.maximum(e, 0.0)
-            denom = np.sum(e, axis=self.axis, keepdims=True)
-            denom = np.where(denom <= 0.0, 1.0, denom)
-            return e / denom
+        def _exp(self, shifted):
+            e, _ = apply_table(self.breakpoints, self.m, self.q, shifted)
+            return e
 
     def fields_of(k):
         return {f.name: getattr(k, f.name) for f in dataclasses.fields(k)}

@@ -34,8 +34,8 @@ batchmates their results.
 from __future__ import annotations
 
 import concurrent.futures
-from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Protocol,
-                    Sequence)
+from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Optional,
+                    Protocol, Sequence)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..service.queue import JobQueue
@@ -105,13 +105,33 @@ class _LocalEngine:
     def _units(self, tasks: List) -> List[List[int]]:
         raise NotImplementedError
 
+    @staticmethod
+    def _admitted(units: List[List[int]], out: Dict[int, Dict]
+                  ) -> Iterator[List[int]]:
+        """Yield the units that pass the ``engine.fit`` fault site.
+
+        Every local unit — inline, lane or pooled — goes through this
+        one check.  A unit the site fails gets its error payloads in
+        ``out``; a :class:`TransientError` propagates, engine-level
+        like one raised by the fit itself (see :meth:`_run_units`).
+        """
+        for unit in units:
+            try:
+                get_faults().check("engine.fit")
+            except TransientError:
+                raise
+            except Exception as exc:
+                for i in unit:
+                    out[i] = {"error": repr(exc)}
+                continue
+            yield unit
+
     def _run_units(self, units: List[List[int]], tasks: List
                    ) -> Dict[int, Dict]:
         """Execute every unit in-process; returns index -> payload."""
         out: Dict[int, Dict] = {}
-        for unit in units:
+        for unit in self._admitted(units, out):
             try:
-                get_faults().check("engine.fit")
                 if len(unit) == 1:
                     payloads = [_run_job(*tasks[unit[0]])]
                 else:
@@ -226,6 +246,9 @@ class PoolEngine(_LocalEngine):
         # failover chain (not this engine) owns the recovery.
         get_faults().check("engine.pool")
         out: Dict[int, Dict] = {}
+        units = list(self._admitted(units, out))
+        if not units:
+            return out
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=min(workers, len(units)),
             initializer=_pool_worker_init)

@@ -53,12 +53,24 @@ class SoftmaxApproximator:
 
     def __call__(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         """Approximate softmax along ``axis``."""
-        x = np.asarray(x, dtype=np.float64)
-        shifted = x - np.max(x, axis=axis, keepdims=True)
-        e = np.where(shifted < self._clip_lo, 0.0, self._exp_fn(shifted))
-        e = np.maximum(e, 0.0)  # a PWL exp may dip slightly below zero
-        denom = np.sum(e, axis=axis, keepdims=True)
-        # Guard the degenerate all-clipped case (cannot happen after max
-        # subtraction — the max element maps to exp(0) — but stay safe).
-        denom = np.where(denom <= 0.0, 1.0, denom)
-        return e / denom
+        return softmax_with_exp(x, self._exp_fn, axis, self._clip_lo)
+
+
+def softmax_with_exp(x: np.ndarray, exp_fn: Callable[[np.ndarray], np.ndarray],
+                     axis: int, clip_lo: float) -> np.ndarray:
+    """The decomposition itself, with ``exp_fn`` evaluating ``exp`` on the
+    max-subtracted inputs.
+
+    :class:`SoftmaxApproximator` and the compiled graph's baked softmax
+    kernel both run this one body (the kernel passes its table apply
+    plus histogram capture as ``exp_fn``), so they agree bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    e = np.where(shifted < clip_lo, 0.0, exp_fn(shifted))
+    e = np.maximum(e, 0.0)  # a PWL exp may dip slightly below zero
+    denom = np.sum(e, axis=axis, keepdims=True)
+    # Guard the degenerate all-clipped case (cannot happen after max
+    # subtraction — the max element maps to exp(0) — but stay safe).
+    denom = np.where(denom <= 0.0, 1.0, denom)
+    return e / denom

@@ -10,7 +10,7 @@ only reorders provably independent records.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 import numpy as np
 
@@ -158,7 +158,8 @@ class KernelFusion(Pass):
     initializer.  The matmul/conv → bias → PWL-activation pattern the
     paper fuses in hardware (Fig. 6) becomes one arena write instead of
     three; the baked :class:`~repro.graph.program.FusedKernel` applies
-    the PWL table on the just-computed tile while it is cache-hot.
+    the PWL table to the just-computed tile with the same baked kernel
+    an unfused node runs.
     """
 
     name = "fuse-kernels"

@@ -19,8 +19,10 @@ exactly once:
   :class:`PwlKernel` records carrying the memoised ``(m, q)``
   coefficient table (the same table
   :func:`repro.core.tables.build_tables` quantises for the hardware
-  LTC), so an apply is one ``searchsorted`` plus one fused
-  ``m[r] * x + q[r]``;
+  LTC), so an apply is one :func:`repro.core.pwl.apply_table` call —
+  a segment lookup (a binary search below 4096 elements, a uint8
+  comparison count from there up) plus one in-place
+  ``m[r] * x + q[r]``, the same routine the eager interpreter runs;
 * **static cost profile** — :attr:`Program.profile` is computed from
   the inferred shapes at compile time; pricing a model under the
   Fig. 6 cost model no longer needs a forward pass at all.
@@ -46,10 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.profile import ExecutionProfile
 
 from ..analysis.diagnostics import Diagnostic, fail
-from ..core.pwl import PiecewiseLinear
+from ..core.pwl import PiecewiseLinear, apply_table
 from ..errors import GraphError
 from ..functions import registry as fn_registry
-from ..functions.softmax import SoftmaxApproximator
+from ..functions.softmax import SoftmaxApproximator, softmax_with_exp
 from ..functions.softmax import softmax as exact_softmax
 from ..obs.capture import get_capture
 from .ir import Graph, Node
@@ -122,7 +124,8 @@ class GraphProfile:
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class PwlKernel:
-    """A precompiled PWL activation: one lookup + one fused MADD.
+    """A precompiled PWL activation: :func:`~repro.core.pwl.apply_table`
+    on the baked table, plus histogram capture.
 
     ``breakpoints`` / ``m`` / ``q`` are the *memoised* coefficient
     arrays of the source :class:`PiecewiseLinear` — the identical table
@@ -144,22 +147,22 @@ class PwlKernel:
                    label=label)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        r = np.searchsorted(self.breakpoints, x, side="right")
+        y, r = apply_table(self.breakpoints, self.m, self.q, x)
         if _capture.enabled:
             # The segment indices already in hand ARE the input
             # histogram — capture only reads them, never the output.
             _capture.record(self.label or "pwl", self.breakpoints, r)
-        return self.m[r] * x + self.q[r]
+        return y
 
 
 @dataclass(frozen=True)
 class SoftmaxPwlKernel:
     """Softmax with a baked PWL ``exp`` table (max-subtract decomposition).
 
-    Performs the exact operation sequence of
-    :class:`~repro.functions.softmax.SoftmaxApproximator` with the
-    ``exp`` PWL's coefficient table inlined.
+    Runs :func:`~repro.functions.softmax.softmax_with_exp` — the body
+    :class:`~repro.functions.softmax.SoftmaxApproximator` runs — with
+    ``exp`` as :func:`~repro.core.pwl.apply_table` on the baked table
+    plus histogram capture.
     """
 
     breakpoints: np.ndarray
@@ -181,115 +184,13 @@ class SoftmaxPwlKernel:
                    clip_lo=approx._clip_lo, axis=int(axis), source=pwl)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        shifted = x - np.max(x, axis=self.axis, keepdims=True)
-        r = np.searchsorted(self.breakpoints, shifted, side="right")
+        return softmax_with_exp(x, self._exp, self.axis, self.clip_lo)
+
+    def _exp(self, shifted: np.ndarray) -> np.ndarray:
+        e, r = apply_table(self.breakpoints, self.m, self.q, shifted)
         if _capture.enabled:
             _capture.record(self.label, self.breakpoints, r)
-        e = np.where(shifted < self.clip_lo, 0.0,
-                     self.m[r] * shifted + self.q[r])
-        e = np.maximum(e, 0.0)
-        denom = np.sum(e, axis=self.axis, keepdims=True)
-        denom = np.where(denom <= 0.0, 1.0, denom)
-        return e / denom
-
-
-# --------------------------------------------------------------------- #
-# Fast PWL segment lookup (fused-kernel epilogues)
-# --------------------------------------------------------------------- #
-def _segment_lookup(breakpoints: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Comparison-count equivalent of ``searchsorted(side="right")``.
-
-    ``sum_i(x >= bp_i)`` counts the breakpoints at or below ``x`` —
-    exactly the insertion index ``searchsorted`` returns — but as a
-    handful of vectorised compares accumulated in uint8 instead of a
-    data-dependent binary search, which measures ~2-4x faster on the
-    16-entry tables the paper uses.  Bitwise-identical segment indices
-    for every finite and infinite input; NaN inputs land in segment 0
-    instead of the last one, which cannot change the output (the MADD
-    propagates the NaN either way) and only shifts which *histogram*
-    bin a NaN would be counted in.  Tables wider than 255 entries fall
-    back to ``searchsorted`` (uint8 would overflow).
-
-    ``r`` is allocated C-contiguous explicitly: ``searchsorted``
-    always returns a C array, so the baseline ``m[r]`` is C-ordered —
-    but ufunc comparisons follow the *input's* memory order, and a
-    strided ``x`` (e.g. a transposed conv output) would otherwise leak
-    its layout through ``m[r]`` into downstream BLAS calls, which
-    round differently per layout.
-
-    Small arrays take ``searchsorted`` outright: the comparison count
-    pays one ufunc dispatch per breakpoint, which only amortizes once
-    the array clears a few thousand elements (measured crossover
-    ~2-8k; single-sample serving requests sit well below it, stacked
-    batches well above).  Both paths return identical indices, so the
-    switch is invisible to the bitwise oracle.
-    """
-    if breakpoints.size > 255 or x.size < 4096:
-        return np.searchsorted(breakpoints, x, side="right")
-    r = np.empty(x.shape, dtype=np.uint8)
-    np.greater_equal(x, breakpoints[0], out=r.view(np.bool_))
-    for b in breakpoints[1:]:
-        r += x >= b
-    return r
-
-
-class _FastPwl:
-    """Fused-epilogue PWL activation: comparison-count lookup + in-place
-    MADD.  Bitwise-identical to :class:`PwlKernel` (the property suite
-    compares the fused program against the eager interpreter)."""
-
-    __slots__ = ("breakpoints", "m", "q", "label")
-
-    def __init__(self, pwl: PiecewiseLinear, label: str = "") -> None:
-        m, q = pwl.coefficients()
-        self.breakpoints = pwl.breakpoints
-        self.m = m
-        self.q = q
-        self.label = label
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        r = _segment_lookup(self.breakpoints, x)
-        if _capture.enabled:
-            _capture.record(self.label or "pwl", self.breakpoints, r)
-        # (m[r] * x) + q[r] with the temporaries reused in place —
-        # identical operation order, identical bits.
-        out = self.m[r]
-        out *= x
-        out += self.q[r]
-        return out
-
-
-class _FastSoftmaxPwl:
-    """Fused-epilogue softmax: :class:`SoftmaxPwlKernel` semantics with
-    the comparison-count segment lookup."""
-
-    __slots__ = ("breakpoints", "m", "q", "clip_lo", "axis", "label")
-
-    def __init__(self, approx: SoftmaxApproximator, axis: int) -> None:
-        pwl = approx._exp_fn
-        assert isinstance(pwl, PiecewiseLinear)
-        m, q = pwl.coefficients()
-        self.breakpoints = pwl.breakpoints
-        self.m = m
-        self.q = q
-        self.clip_lo = approx._clip_lo
-        self.axis = int(axis)
-        self.label = "softmax.exp"
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        shifted = x - np.max(x, axis=self.axis, keepdims=True)
-        r = _segment_lookup(self.breakpoints, shifted)
-        if _capture.enabled:
-            _capture.record(self.label, self.breakpoints, r)
-        e = np.where(shifted < self.clip_lo, 0.0,
-                     self.m[r] * shifted + self.q[r])
-        e = np.maximum(e, 0.0)
-        denom = np.sum(e, axis=self.axis, keepdims=True)
-        denom = np.where(denom <= 0.0, 1.0, denom)
-        return e / denom
+        return e
 
 
 class FusedKernel:
@@ -299,9 +200,9 @@ class FusedKernel:
     Each step closure takes ``(cur, inputs)`` — the previous step's
     result plus the node's full runtime input list — with constants
     prebound at bake time.  Step bodies are the *identical* numpy
-    expressions of the ops they absorb (PWL steps use the
-    bitwise-equivalent fast segment lookup), so fusion never changes a
-    single output bit.
+    expressions of the ops they absorb (PWL steps are the same baked
+    kernels an unfused node runs), so fusion never changes a single
+    output bit.
     """
 
     __slots__ = ("steps", "label")
@@ -334,16 +235,11 @@ def _bake_fused_step(op_name: str, attrs: Dict, names: List[str],
             kern = _activation_kernel(
                 Node(op_type="activation", inputs=["x"], outputs=["y"],
                      attrs=attrs))
-            if isinstance(kern, PwlKernel):
-                kern = _FastPwl(kern.source, label=kern.label)
             return lambda cur, inputs: kern(cur)
         if op_name == "softmax":
             kern = _softmax_kernel(
                 Node(op_type="softmax", inputs=["x"], outputs=["y"],
                      attrs=attrs))
-            if isinstance(kern, SoftmaxPwlKernel):
-                kern = _FastSoftmaxPwl(
-                    attrs["approximator"], int(attrs.get("axis", -1)))
             return lambda cur, inputs: kern(cur)
         if op_name == "batchnorm":
             scale, shift = cvals

@@ -1,12 +1,15 @@
 """Opt-in PWL input-histogram capture.
 
-The baked :class:`~repro.graph.program.PwlKernel` already computes the
-segment index of every input element (``searchsorted`` against the
-breakpoint table); capturing the empirical input distribution of an
-activation is therefore one ``np.bincount`` over indices the kernel
-holds anyway.  That distribution is exactly what the ROADMAP's
-distribution-aware fitting item (DAPA in PAPERS.md) needs: fit the PWL
-against where the inputs actually land instead of a uniform grid.
+Every baked PWL kernel (:class:`~repro.graph.program.PwlKernel` and
+``SoftmaxPwlKernel``, fused or not) evaluates through
+:func:`repro.core.pwl.apply_table`, which returns the segment index of
+every input element alongside the output (``searchsorted`` below 4096
+elements, a comparison count from there up — the same indices either
+way); capturing the empirical input distribution of an activation is
+therefore one ``np.bincount`` over indices the kernel holds anyway.
+That distribution is exactly what the ROADMAP's distribution-aware
+fitting item (DAPA in PAPERS.md) needs: fit the PWL against where the
+inputs actually land instead of a uniform grid.
 
 Disabled by default: the kernels check one module-global flag —
 outputs are bitwise-unchanged either way (the capture only *reads* the

@@ -8,7 +8,7 @@ entry acceptance.
 
 import json
 
-from repro.core.batchfit import FitCache, make_job, fit_cache_key
+from repro.core.batchfit import FitCache, make_job
 from repro.core.fit import FitConfig
 from repro.faults import FaultRule
 

@@ -73,6 +73,39 @@ class TestTerminationInvariant:
                 s.fit(_requests())
 
 
+_LOCAL_PATHS = [("inline", 1), ("lane", 1), ("pool", 1), ("pool", 2)]
+
+
+class TestEngineFaultSite:
+    """Every local engine path passes each unit through ``engine.fit``,
+    whatever worker count it resolves: the pooled path (two workers,
+    two units) checks the site before it starts a worker."""
+
+    @pytest.mark.parametrize("engine,workers", _LOCAL_PATHS)
+    def test_transient_fault_raises_on_every_path(self, chaos, engine,
+                                                  workers):
+        from repro.api.engines import create_engine
+        from repro.errors import TransientError
+
+        chaos(FaultRule(site="engine.fit", kind="error", p=1.0))
+        eng = create_engine(engine, EngineConfig(engine=engine,
+                                                 max_workers=workers))
+        with pytest.raises(TransientError):
+            eng.fit(_requests())
+
+    @pytest.mark.parametrize("engine,workers", _LOCAL_PATHS)
+    def test_io_fault_fails_every_request_in_its_slot(self, chaos, engine,
+                                                      workers):
+        from repro.api.engines import create_engine
+
+        chaos(FaultRule(site="engine.fit", kind="oserror", p=1.0))
+        eng = create_engine(engine, EngineConfig(engine=engine,
+                                                 max_workers=workers))
+        assert eng.fit(_requests()) == [None] * len(_REQS)
+        assert sorted(eng.last_errors) == list(range(len(_REQS)))
+        assert all("InjectedOSError" in e for e in eng.last_errors.values())
+
+
 class TestBitwiseWhenDisabled:
     def test_never_firing_plan_is_bitwise_identical(self, chaos):
         clean = _clean_baseline()

@@ -103,3 +103,40 @@ class TestProcessState:
         get_capture().record("old", BPS, np.array([1]))
         enable_capture(clear=True)
         assert get_capture().labels() == []
+
+
+class TestCompiledVariants:
+    def test_fused_and_unfused_programs_record_identical_histograms(self):
+        # Fusion moves the PWL apply into a fused epilogue; the capture
+        # must not be able to tell (same lookup, same labels, same bins).
+        from repro.core.fit import FitConfig
+        from repro.graph.passes import (make_pwl_approximators,
+                                        replace_activations)
+        from repro.graph.program import compile_graph
+        from repro.zoo.builders import BUILDERS
+
+        cfg = FitConfig(max_steps=60, refine_steps=25, max_refine_rounds=1,
+                        polish=False, grid_points=512)
+        graph = BUILDERS["vit"](act="gelu", scale=0.25, seed=7)
+        approx = make_pwl_approximators(["gelu", "softmax"], 8, config=cfg)
+        graph, n_rewritten = replace_activations(graph, approx)
+        assert n_rewritten >= 2
+        plain = compile_graph(graph, optimize=False)
+        fused = compile_graph(graph, optimize=True)
+        assert any(cn.op_type == "fused" for cn in fused.nodes)
+
+        name, shape = graph.inputs[0]
+        rng = np.random.default_rng(3)
+        # Batch 1 stays under the lookup's size switch, batch 64 clears it.
+        feeds = [{name: rng.normal(size=(batch,) + tuple(shape[1:]))}
+                 for batch in (1, 64)]
+
+        hists = []
+        for program in (plain, fused):
+            enable_capture(clear=True)
+            for feed in feeds:
+                program.run(feed)
+            disable_capture()
+            hists.append(get_capture().histograms())
+        assert set(hists[0]) == {"gelu", "softmax.exp"}
+        assert hists[0] == hists[1]

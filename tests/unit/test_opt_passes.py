@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.pwl import apply_table, segment_lookup
 from repro.errors import GraphError
 from repro.graph.executor import interpret
 from repro.graph.ir import Graph, Node
 from repro.graph.opt import (DEFAULT_PASSES, EPILOGUE_OPS, PassReport,
                              Plan, available_passes, build_pipeline,
                              get_pass, register_graph_pass)
-from repro.graph.program import (FusedKernel, _segment_lookup,
-                                 compile_graph)
+from repro.graph.program import FusedKernel, compile_graph
 
 
 def _plan_for(graph, batch_size=1):
@@ -246,7 +246,7 @@ class TestSegmentLookup:
         x = rng.normal(size=(8192,)) * 3  # large: comparison-count path
         x = np.concatenate([x, bp, [np.inf, -np.inf, bp[0], bp[-1]]])
         want = np.searchsorted(bp, x, side="right")
-        assert np.array_equal(_segment_lookup(bp, x), want)
+        assert np.array_equal(segment_lookup(bp, x), want)
 
     def test_result_is_c_contiguous_for_strided_input(self, rng):
         # searchsorted always returns C-ordered indices; the fast path
@@ -255,7 +255,7 @@ class TestSegmentLookup:
         bp = np.sort(rng.normal(size=12))
         x = rng.normal(size=(6, 8, 16, 16)).transpose(1, 0, 2, 3)
         assert not x.flags["C_CONTIGUOUS"] and x.size >= 4096
-        r = _segment_lookup(bp, x)
+        r = segment_lookup(bp, x)
         assert r.flags["C_CONTIGUOUS"]
         assert np.array_equal(r, np.searchsorted(bp, x, side="right"))
 
@@ -263,7 +263,7 @@ class TestSegmentLookup:
         bp = np.sort(rng.normal(size=12))
         x = rng.normal(size=(4, 7)).T  # tiny and strided
         assert not x.flags["C_CONTIGUOUS"]
-        r = _segment_lookup(bp, x)
+        r = segment_lookup(bp, x)
         assert r.flags["C_CONTIGUOUS"]
         assert np.array_equal(r, np.searchsorted(bp, x, side="right"))
 
@@ -271,7 +271,20 @@ class TestSegmentLookup:
         bp = np.sort(rng.normal(size=300))
         x = rng.normal(size=40)
         want = np.searchsorted(bp, x, side="right")
-        assert np.array_equal(_segment_lookup(bp, x), want)
+        assert np.array_equal(segment_lookup(bp, x), want)
+
+    @pytest.mark.parametrize("shape", [(4, 7), (6, 8, 16, 16)])
+    def test_apply_table_is_the_plain_madd(self, rng, shape):
+        # Both lookup paths, strided input: the in-place MADD gives the
+        # bits and the C layout of the textbook m[r] * x + q[r].
+        bp = np.sort(rng.normal(size=12))
+        m, q = rng.normal(size=13), rng.normal(size=13)
+        x = rng.normal(size=shape[::-1]).T
+        y, r = apply_table(bp, m, q, x)
+        want_r = np.searchsorted(bp, x, side="right")
+        assert np.array_equal(r, want_r)
+        assert y.flags["C_CONTIGUOUS"]
+        assert np.array_equal(y, m[want_r] * x + q[want_r])
 
 
 class TestVerifyOptimizedPrograms:

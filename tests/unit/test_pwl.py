@@ -81,11 +81,34 @@ class TestEvaluation:
 
 
 class TestCoefficients:
-    def test_region_index_matches_searchsorted(self, simple_pwl, rng):
-        x = rng.uniform(-3, 3, size=100)
-        r = simple_pwl.region_index(x)
-        assert np.array_equal(r, np.searchsorted(simple_pwl.breakpoints, x,
-                                                 side="right"))
+    @pytest.mark.parametrize("size", [4095, 4096, 8192])
+    def test_region_index_matches_searchsorted(self, simple_pwl, rng, size):
+        # The independent check of the one PWL lookup: the interpreter
+        # and every compiled kernel share it, so only a direct
+        # comparison with np.searchsorted can catch it drifting.  The
+        # sizes straddle the switch to the comparison count.
+        bp = simple_pwl.breakpoints
+        m, q = simple_pwl.coefficients()
+        edges = np.concatenate([bp, [np.inf, -np.inf]])
+        x = np.concatenate([rng.uniform(-3, 3, size - edges.size), edges])
+        padded = np.zeros(2 * size)
+        padded[::2] = x
+        strided = padded[::2]
+        assert not strided.flags["C_CONTIGUOUS"]
+        x32 = x.astype(np.float32)
+        for xin in (x, strided, x32):
+            want = np.searchsorted(bp, np.asarray(xin, dtype=np.float64),
+                                   side="right")
+            assert np.array_equal(simple_pwl.region_index(xin), want)
+            with np.errstate(invalid="ignore"):  # flat edges: 0 * inf
+                assert np.array_equal(simple_pwl(xin),
+                                      m[want] * np.asarray(xin, np.float64)
+                                      + q[want], equal_nan=True)
+        for i, p in enumerate(bp):  # 0-d scalars, exact breakpoint hits
+            r = int(np.searchsorted(bp, p, side="right"))
+            assert r == i + 1
+            got = simple_pwl(np.array(p))
+            assert isinstance(got, float) and got == m[r] * p + q[r]
 
     def test_coefficient_eval_matches_call(self, simple_pwl, rng):
         x = rng.uniform(-3, 3, size=100)
